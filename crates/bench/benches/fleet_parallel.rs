@@ -10,13 +10,14 @@
 //! is therefore purely an execution-strategy figure:
 //!
 //! * `threads = host cores` is the production default. On a single-core
-//!   container it degrades to the serial schedule (spawning zero
-//!   threads), so the ratio is ~1.0× there by construction — the
+//!   container it degrades to the serial schedule (the thread pool has
+//!   no helpers), so the ratio is ~1.0× there by construction — the
 //!   multi-core speedup is host-dependent and must be (re-)measured on
 //!   real hardware, like the oracle hot-path's rayon fan-out.
-//! * An oversubscribed width (`threads = 4` on a 1-core host) is also
-//!   recorded, pinning the overhead of real thread spawns per event
-//!   barrier.
+//! * Widths above the core count (`threads = 4` on a 2-core host) are
+//!   also recorded. The shared thread pool caps every fan at
+//!   `rayon::current_num_threads()`, so they never oversubscribe the
+//!   host and should read like `threads = host cores`.
 //!
 //! `RANKMAP_BENCH_SMOKE=1` shrinks the horizon and search budgets so CI
 //! can keep this bench compiling *and running*.
@@ -151,7 +152,8 @@ fn main() {
             Json::Str(
                 "threads = host cores is the production default; multi-core speedup is \
                  host-dependent (a 1-core container degrades to the serial schedule, \
-                 ratio ~1.0x). Oversubscribed widths pin the per-barrier spawn overhead."
+                 ratio ~1.0x). Widths above host cores are capped by the thread pool, so they \
+                 never oversubscribe the host."
                     .into(),
             ),
         ),

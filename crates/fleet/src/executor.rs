@@ -189,8 +189,8 @@ impl Parallelism {
 }
 
 /// One worker thread per host core — the production default. On a
-/// single-core host this degrades to the serial schedule with zero spawn
-/// overhead.
+/// single-core host this degrades to the serial schedule on the calling
+/// thread.
 impl Default for Parallelism {
     fn default() -> Self {
         Parallelism::Threads(rayon::current_num_threads())
@@ -512,12 +512,7 @@ where
     R: Send,
     F: Fn(usize, &mut Shard<'p, O>) -> R + Sync,
 {
-    let width = parallelism.width().min(shards.len());
-    if width <= 1 {
-        shards.iter_mut().enumerate().map(|(s, shard)| f(s, shard)).collect()
-    } else {
-        rayon::iter::par_map_slice_mut(shards, width, &f)
-    }
+    rayon::iter::par_map_slice_mut(shards, parallelism.width(), &f)
 }
 
 impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
@@ -1117,12 +1112,8 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             };
             (*i, prepared)
         };
-        let width = self.config.parallelism.width().min(pairs.len());
-        let prepared_list: Vec<(usize, ShardPrepared)> = if width <= 1 {
-            pairs.iter_mut().enumerate().map(|(k, pair)| prepare(k, pair)).collect()
-        } else {
-            rayon::iter::par_map_slice_mut(&mut pairs, width, &prepare)
-        };
+        let prepared_list: Vec<(usize, ShardPrepared)> =
+            rayon::iter::par_map_slice_mut(&mut pairs, self.config.parallelism.width(), &prepare);
         drop(pairs);
         self.telemetry.finish(timer);
         let mut prepared_of: Vec<Option<ShardPrepared>> = ops.iter().map(|_| None).collect();

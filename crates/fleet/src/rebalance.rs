@@ -120,14 +120,11 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
                 (&mut hi[0], &mut lo[dst])
             };
             if self.config.parallelism.width() > 1 {
-                std::thread::scope(|scope| {
-                    let handle = scope.spawn(|| {
-                        src_shard.apply(t, &depart, window);
-                    });
-                    let assigned = dst_shard.apply(t, &arrive, window);
-                    handle.join().expect("source-shard worker panicked");
-                    assigned
-                })
+                let (assigned, _) = rayon::join(
+                    || dst_shard.apply(t, &arrive, window),
+                    || src_shard.apply(t, &depart, window),
+                );
+                assigned
             } else {
                 src_shard.apply(t, &depart, window);
                 dst_shard.apply(t, &arrive, window)

@@ -142,8 +142,8 @@ impl Tensor {
     ///
     /// Row-blocked `i-k-j` kernel with a zero-skip on the left operand
     /// (mapping tensors are mostly zeros). Row blocks fan out across the
-    /// thread pool when the product is large enough to amortize the spawn
-    /// cost; the per-row arithmetic (and hence the result, bit for bit) is
+    /// thread pool when the product is large enough to amortize waking a
+    /// helper; the per-row arithmetic (and hence the result, bit for bit) is
     /// identical in the serial and parallel paths.
     ///
     /// # Panics
@@ -155,7 +155,7 @@ impl Tensor {
         let (m, k) = (self.shape[0], self.shape[1]);
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul inner dimension mismatch");
-        // Flops below this stay serial: thread spawn costs ~µs, which only
+        // Flops below this stay serial: a helper wake-up costs ~µs, which only
         // pays off for matrices far larger than the estimator's.
         const PAR_MIN_FLOPS: usize = 1 << 21;
         let threads = rayon::current_num_threads();

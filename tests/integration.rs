@@ -172,3 +172,78 @@ fn analytical_and_event_agree_on_baseline_collapse() {
     assert!(a < 3.0, "analytical baseline too optimistic: {a}");
     assert!(e < 3.0, "event baseline too optimistic: {e}");
 }
+
+/// A 4-shard fleet run under the serial reference, the shard-parallel
+/// barrier and the epoch log must agree bit for bit. Threaded runs fan
+/// shards across the thread pool while each shard's search fans its
+/// oracle batches inside them, so this also drives the pool's nested
+/// path.
+#[test]
+fn fleet_executors_agree_bit_for_bit() {
+    use rankmap::fleet::{
+        generate, ArrivalProcess, FleetConfig, FleetOutcome, FleetRuntime, LoadSpec, Parallelism,
+    };
+    let platform = Platform::orange_pi_5();
+    let oracle = AnalyticalOracle::new(&platform);
+    let spec = LoadSpec {
+        horizon: 180.0,
+        process: ArrivalProcess::Poisson { rate: 1.0 / 6.0 },
+        mean_lifetime: 90.0,
+        priority_churn_rate: 1.0 / 60.0,
+        seed: 11,
+        ..Default::default()
+    };
+    let events = generate(&spec);
+    let run = |parallelism| -> FleetOutcome {
+        let config = FleetConfig {
+            manager: ManagerConfig {
+                mcts_iterations: 40,
+                warm_iterations: 20,
+                ..Default::default()
+            },
+            max_per_shard: 3,
+            rebalance_threshold: 0.6,
+            rebalance_margin: 0.02,
+            parallelism,
+            ..Default::default()
+        };
+        FleetRuntime::homogeneous(&platform, &oracle, 4, config).execute(&events, spec.horizon)
+    };
+    let reference = run(Parallelism::Sequential);
+    assert!(
+        reference.metrics.admitted > 0,
+        "the stream admitted something"
+    );
+    assert!(
+        reference.metrics.migrations > 0,
+        "rebalancing migrated an instance"
+    );
+    // `Debug` prints every float's shortest round-trip form, so equal
+    // strings mean equal bits.
+    fn same_bits<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+    for parallelism in [
+        Parallelism::Threads(2),
+        Parallelism::Async {
+            workers: 2,
+            max_epoch_lag: 1,
+            apply_lanes: true,
+        },
+    ] {
+        let outcome = run(parallelism);
+        let label = format!("{parallelism:?} diverged from Sequential");
+        assert!(
+            same_bits(&reference.placements, &outcome.placements),
+            "{label}: placements"
+        );
+        assert!(
+            same_bits(&reference.metrics, &outcome.metrics),
+            "{label}: metrics"
+        );
+        assert!(
+            same_bits(&reference.timelines, &outcome.timelines),
+            "{label}: timelines"
+        );
+    }
+}
