@@ -13,12 +13,27 @@
 //! A `manager_plan_default` arm measures the public
 //! `RankMapManager::map` entry point end to end.
 //!
+//! The `analytical_evaluate_with` group times the analytical contention
+//! kernel the `AnalyticalOracle` runs per mapping: ns per mapping over
+//! seeded 3–5-model mixes from `ModelId::paper_pool()`, for the whole
+//! `AnalyticalEngine::evaluate_with` and for its two halves,
+//! `WorkloadCosts::compile` and `AnalyticalEngine::solve`, separately.
+//! Each timed iteration prices the next mapping of the set, so a sample
+//! averages over all of them.
+//!
 //! Results land in `BENCH_oracle.json` at the workspace root (ns per call;
-//! divide by the 1,500-evaluation budget for ns/eval) so future PRs have a
-//! perf trajectory. The run also prints best-reward parity over 5 seeds:
-//! the batched search must stay within noise of the sequential one.
+//! divide the `plan_1500` figures by the 1,500-evaluation budget for
+//! ns/eval) so there is a perf trajectory. The run also prints best-reward
+//! parity over 5 seeds: the batched search must stay within noise of the
+//! sequential one.
+//!
+//! `RANKMAP_BENCH_SMOKE=1` shrinks the search budget, the sample counts,
+//! the mapping set and the parity seeds so CI can keep this bench
+//! compiling *and running*; a smoke run leaves `BENCH_oracle.json` alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rankmap_core::manager::{ManagerConfig, RankMapManager};
 use rankmap_core::oracle::{LearnedOracle, ThroughputOracle};
 use rankmap_core::priority::PriorityMode;
@@ -29,11 +44,23 @@ use rankmap_estimator::{
 use rankmap_models::ModelId;
 use rankmap_platform::{ComponentId, Platform};
 use rankmap_search::{DecisionProblem, Mcts, MctsConfig};
-use rankmap_sim::{Mapping, Workload};
+use rankmap_sim::{AnalyticalEngine, ContentionParams, Mapping, Workload, WorkloadCosts};
 use std::sync::Mutex;
 
-const BUDGET: usize = 1_500;
 const IDEAL: f64 = 25.0;
+
+fn smoke() -> bool {
+    std::env::var_os("RANKMAP_BENCH_SMOKE").is_some()
+}
+
+/// MCTS iterations per plan (the default manager budget).
+fn budget() -> usize {
+    if smoke() {
+        150
+    } else {
+        1_500
+    }
+}
 
 fn mix() -> Workload {
     Workload::from_ids([
@@ -191,7 +218,7 @@ fn setup() -> Setup {
 /// shipped batched path over the fast oracle.
 fn plan(s: &Setup, w: &Workload, batch: Option<usize>, seed: u64) -> f64 {
     let cfg = MctsConfig {
-        iterations: BUDGET,
+        iterations: budget(),
         seed,
         batch: batch.unwrap_or(1),
         ..Default::default()
@@ -224,8 +251,13 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
     let s = setup();
     let w = mix();
 
-    let mut group = c.benchmark_group("plan_1500");
-    group.sample_size(10);
+    let mut group = c.benchmark_group(&format!("plan_{}", budget()));
+    if smoke() {
+        group.sample_size(2);
+        group.measurement_time(std::time::Duration::from_millis(200));
+    } else {
+        group.sample_size(10);
+    }
     group.bench_function("sequential_baseline", |b| b.iter(|| plan(&s, &w, None, 1)));
     for k in [1usize, 8, 32] {
         group.bench_function(&format!("batched_k{k}"), |b| {
@@ -237,7 +269,7 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
     let mgr = RankMapManager::new(
         &s.platform,
         &s.fast_oracle,
-        ManagerConfig { mcts_iterations: BUDGET, ..Default::default() },
+        ManagerConfig { mcts_iterations: budget(), ..Default::default() },
     );
     let _ = mgr.map(&w, &PriorityMode::Dynamic);
     group.bench_function("manager_plan_default", |b| {
@@ -249,13 +281,14 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
     // noise of the sequential trajectory.
     let mut seq = Vec::new();
     let mut bat = Vec::new();
-    for seed in 0..5u64 {
+    for seed in 0..if smoke() { 2 } else { 5u64 } {
         seq.push(plan(&s, &w, None, seed));
         bat.push(plan(&s, &w, Some(8), seed));
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     println!(
-        "reward parity over 5 seeds: sequential mean {:.4} {:?}, batched(K=8) mean {:.4} {:?}",
+        "reward parity over {} seeds: sequential mean {:.4} {:?}, batched(K=8) mean {:.4} {:?}",
+        seq.len(),
         mean(&seq),
         seq,
         mean(&bat),
@@ -263,13 +296,103 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
     );
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
+/// One analytical-oracle query: a priced workload and a mapping of it.
+struct Query {
+    workload: Workload,
+    costs: std::sync::Arc<WorkloadCosts>,
+    mapping: Mapping,
+}
+
+/// Seeded 3–5-model mixes dealt from the paper pool, each with random
+/// mappings over the platform's components.
+fn kernel_queries(platform: &Platform, mixes: usize, per_mix: usize) -> Vec<Query> {
+    let pool = ModelId::paper_pool();
+    let mut rng = StdRng::seed_from_u64(0x0C0_47E5);
+    let mut queries = Vec::with_capacity(mixes * per_mix);
+    for _ in 0..mixes {
+        let size = rng.gen_range(3..=5);
+        let ids: Vec<ModelId> = (0..size).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+        let workload = Workload::from_ids(ids);
+        let costs = std::sync::Arc::new(WorkloadCosts::new(platform, &workload));
+        for _ in 0..per_mix {
+            let mapping = Mapping::random(&workload, platform.component_count(), &mut rng);
+            queries.push(Query { workload: workload.clone(), costs: costs.clone(), mapping });
+        }
+    }
+    queries
+}
+
+fn bench_analytical_kernel(c: &mut Criterion) {
+    let platform = Platform::orange_pi_5();
+    let engine = AnalyticalEngine::new(&platform);
+    let params = ContentionParams::default();
+    let (mixes, per_mix) = if smoke() { (8, 8) } else { (64, 16) };
+    let queries = kernel_queries(&platform, mixes, per_mix);
+    let compiled: Vec<_> =
+        queries.iter().map(|q| q.costs.compile(&q.workload, &q.mapping, params)).collect();
+    // The split halves must price exactly what the fused call does.
+    for (q, cw) in queries.iter().zip(&compiled) {
+        assert_eq!(
+            engine.evaluate_with(&q.costs, &q.workload, &q.mapping),
+            engine.solve(cw),
+            "compile + solve diverged from evaluate_with"
+        );
+    }
+
+    let mut group = c.benchmark_group("analytical_evaluate_with");
+    if smoke() {
+        group.sample_size(3);
+        group.measurement_time(std::time::Duration::from_millis(300));
+    } else {
+        group.sample_size(15);
+        group.measurement_time(std::time::Duration::from_secs(6));
+    }
+    let mut next = 0usize;
+    group.bench_function("evaluate_with", |b| {
+        b.iter(|| {
+            let q = &queries[next % queries.len()];
+            next += 1;
+            engine.evaluate_with(&q.costs, &q.workload, &q.mapping)
+        })
+    });
+    group.bench_function("compile", |b| {
+        b.iter(|| {
+            let q = &queries[next % queries.len()];
+            next += 1;
+            q.costs.compile(&q.workload, &q.mapping, params)
+        })
+    });
+    group.bench_function("solve", |b| {
+        b.iter(|| {
+            let cw = &compiled[next % compiled.len()];
+            next += 1;
+            engine.solve(cw)
+        })
+    });
+    group.finish();
+    let stages: usize = queries.iter().map(|q| q.mapping.stage_count()).sum();
+    println!(
+        "analytical kernel set: {} mappings over {mixes} mixes, {:.1} stages per mapping",
+        queries.len(),
+        stages as f64 / queries.len() as f64
+    );
+}
+
+fn config() -> Criterion {
+    let c = Criterion::default()
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(8))
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .json_output(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_oracle.json"));
-    targets = bench_oracle_hotpath
+        .warm_up_time(std::time::Duration::from_millis(500));
+    if smoke() {
+        c.warm_up_time(std::time::Duration::from_millis(100))
+    } else {
+        c.json_output(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_oracle.json"))
+    }
+}
+
+criterion_group! {
+    name = benches;
+    config = config();
+    targets = bench_analytical_kernel, bench_oracle_hotpath
 }
 criterion_main!(benches);

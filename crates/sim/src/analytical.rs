@@ -24,6 +24,17 @@ use rankmap_platform::Platform;
 /// Orders of magnitude faster than the [`crate::EventEngine`], at the cost
 /// of ignoring queueing transients; agreement between the two is checked in
 /// tests.
+///
+/// This is the kernel behind `AnalyticalOracle`, so the search pays it once
+/// per scored mapping. [`AnalyticalEngine::evaluate_with`] is its hot path:
+/// [`WorkloadCosts::compile`](crate::WorkloadCosts::compile) then
+/// [`AnalyticalEngine::solve`]. A typical 3–5-DNN query has about 45 stages
+/// on 3 components and converges in about 7 iterations (never near the
+/// 160-iteration cap). `solve` lays the per-component stage groups out once
+/// and its iterations allocate nothing, so a query costs about 11 µs on a
+/// 2-vCPU x86-64 VM (docs/performance.md, "The contention kernel"). The
+/// output is pinned bit for bit by the `contention_kernel_golden_bits`
+/// integration test.
 #[derive(Debug, Clone)]
 pub struct AnalyticalEngine<'p> {
     platform: &'p Platform,
@@ -67,41 +78,69 @@ impl<'p> AnalyticalEngine<'p> {
     }
 
     /// Solves an already compiled workload.
+    ///
+    /// Everything that does not change between fixed-point iterations is
+    /// laid out once: the stages grouped per component into flat owner,
+    /// time and clamped-weight arrays. Each iteration then reuses the same
+    /// `limit`, `demands`, `alloc` and fair-share index buffers, so the loop
+    /// allocates nothing.
     pub fn solve(&self, compiled: &CompiledWorkload) -> ThroughputReport {
         let n = compiled.dnn_count();
-        let by_comp = compiled.stages_by_component();
-        // Start at the (inflated) isolated pipeline bound.
-        let bounds: Vec<f64> = (0..n).map(|d| compiled.pipeline_bound(d)).collect();
-        let mut x: Vec<f64> = bounds.clone();
-        for _ in 0..self.iterations {
-            let mut limit = vec![f64::INFINITY; n];
-            for stages in &by_comp {
-                if stages.is_empty() {
-                    continue;
-                }
-                let demands: Vec<f64> = stages
-                    .iter()
-                    .map(|&(d, k)| x[d] * compiled.stages[d][k].inflated_seconds)
-                    .collect();
+        let comps = compiled.component_count;
+        // Counting sort of the stages by component. Within a component the
+        // stages keep `(dnn, stage)` order: the fair share sums demands and
+        // weights in that order, so the output bits depend on it.
+        let mut offsets = vec![0usize; comps + 1];
+        for s in compiled.stages.iter().flatten() {
+            offsets[s.component.index() + 1] += 1;
+        }
+        for c in 0..comps {
+            offsets[c + 1] += offsets[c];
+        }
+        let total = offsets[comps];
+        let mut owner = vec![0usize; total];
+        let mut seconds = vec![0.0f64; total];
+        let mut weights = vec![0.0f64; total];
+        let mut fill = offsets.clone();
+        for (d, dnn) in compiled.stages.iter().enumerate() {
+            for s in dnn {
+                let slot = &mut fill[s.component.index()];
+                owner[*slot] = d;
+                seconds[*slot] = s.inflated_seconds;
                 // Preemptive components (CPU clusters) share time equally
                 // per stage; non-preemptive queues (GPU) serve whole kernels
                 // round-robin, i.e. weight = mean kernel duration.
-                let weights: Vec<f64> = stages
-                    .iter()
-                    .map(|&(d, k)| {
-                        let s = &compiled.stages[d][k];
-                        if s.preemptive {
-                            1.0
-                        } else {
-                            s.mean_kernel_seconds() * 1e3
-                        }
-                    })
-                    .collect();
-                let alloc = weighted_max_min_fair(&demands, &weights, 1.0);
-                for (i, &(d, k)) in stages.iter().enumerate() {
-                    let t = compiled.stages[d][k].inflated_seconds;
+                let weight = if s.preemptive { 1.0 } else { s.mean_kernel_seconds() * 1e3 };
+                weights[*slot] = weight.max(MIN_WEIGHT);
+                *slot += 1;
+            }
+        }
+        // Start at the (inflated) isolated pipeline bound.
+        let bounds: Vec<f64> = (0..n).map(|d| compiled.pipeline_bound(d)).collect();
+        let mut x: Vec<f64> = bounds.clone();
+        let mut limit = vec![f64::INFINITY; n];
+        let mut demands = vec![0.0f64; total];
+        let mut alloc = vec![0.0f64; total];
+        let mut unsat = Vec::with_capacity(total);
+        for _ in 0..self.iterations {
+            limit.fill(f64::INFINITY);
+            for (demand, (&d, &t)) in demands.iter_mut().zip(owner.iter().zip(&seconds)) {
+                *demand = x[d] * t;
+            }
+            for c in 0..comps {
+                let group = offsets[c]..offsets[c + 1];
+                fair_share_clamped(
+                    &demands[group.clone()],
+                    &weights[group.clone()],
+                    1.0,
+                    &mut alloc[group.clone()],
+                    &mut unsat,
+                );
+                for j in group {
+                    let t = seconds[j];
                     if t > 0.0 {
-                        limit[d] = limit[d].min(alloc[i] / t);
+                        let d = owner[j];
+                        limit[d] = limit[d].min(alloc[j] / t);
                     }
                 }
             }
@@ -120,50 +159,75 @@ impl<'p> AnalyticalEngine<'p> {
     }
 }
 
+/// Floor on a fair-share weight, so a zero-duration stage still holds a
+/// (vanishing) share instead of dividing by zero.
+const MIN_WEIGHT: f64 = 1e-12;
+
 /// Weighted max–min fair allocation of `capacity` across `demands`: every
 /// demand is either fully satisfied or capped at a level proportional to
 /// its weight; leftover capacity from small demands is redistributed.
+/// Weights below `1e-12` count as `1e-12`.
 ///
 /// With equal weights this reduces to classic max–min fairness. Weight here
 /// is the mean kernel duration: coarse-kernel stages hold the server longer
 /// per round, exactly like a non-preemptive round-robin queue.
 pub fn weighted_max_min_fair(demands: &[f64], weights: &[f64], capacity: f64) -> Vec<f64> {
     assert_eq!(demands.len(), weights.len(), "demands/weights length mismatch");
-    let n = demands.len();
-    let mut alloc = vec![0.0; n];
-    if n == 0 {
-        return alloc;
-    }
+    let clamped: Vec<f64> = weights.iter().map(|w| w.max(MIN_WEIGHT)).collect();
+    let mut alloc = vec![0.0; demands.len()];
+    fair_share_clamped(demands, &clamped, capacity, &mut alloc, &mut Vec::new());
+    alloc
+}
+
+/// The allocation-free core of [`weighted_max_min_fair`]: writes every
+/// entry of `alloc`, given weights already clamped to at least
+/// [`MIN_WEIGHT`], using `unsat` as its working buffer.
+///
+/// Each round computes the fair level over the still-unsatisfied stages,
+/// satisfies (in index order) every stage whose demand fits under it, and
+/// compacts the rest to the front of `unsat` in place, keeping their order.
+/// A round that satisfies nobody caps everyone left at the level.
+fn fair_share_clamped(
+    demands: &[f64],
+    weights: &[f64],
+    capacity: f64,
+    alloc: &mut [f64],
+    unsat: &mut Vec<usize>,
+) {
     let total: f64 = demands.iter().sum();
     if total <= capacity {
         alloc.copy_from_slice(demands);
-        return alloc;
+        return;
     }
     let mut remaining = capacity;
-    let mut unsat: Vec<usize> = (0..n).collect();
+    unsat.clear();
+    unsat.extend(0..demands.len());
     loop {
-        let weight_sum: f64 = unsat.iter().map(|&i| weights[i].max(1e-12)).sum();
+        let weight_sum: f64 = unsat.iter().map(|&i| weights[i]).sum();
         // Fair level λ such that each unsatisfied i would get λ·w_i.
         let level = remaining / weight_sum;
-        let (sat, still): (Vec<usize>, Vec<usize>) = unsat
-            .iter()
-            .partition(|&&i| demands[i] <= level * weights[i].max(1e-12));
-        if sat.is_empty() {
-            for &i in &still {
-                alloc[i] = level * weights[i].max(1e-12);
+        let mut kept = 0;
+        for r in 0..unsat.len() {
+            let i = unsat[r];
+            if demands[i] <= level * weights[i] {
+                alloc[i] = demands[i];
+                remaining -= demands[i];
+            } else {
+                unsat[kept] = i;
+                kept += 1;
             }
-            break;
         }
-        for &i in &sat {
-            alloc[i] = demands[i];
-            remaining -= demands[i];
+        if kept == unsat.len() {
+            for &i in unsat.iter() {
+                alloc[i] = level * weights[i];
+            }
+            return;
         }
-        unsat = still;
+        unsat.truncate(kept);
         if unsat.is_empty() {
-            break;
+            return;
         }
     }
-    alloc
 }
 
 #[cfg(test)]

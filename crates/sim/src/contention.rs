@@ -102,17 +102,18 @@ impl CompiledWorkload {
         let cost = CostModel::new(platform);
         let mut stages: Vec<Vec<CompiledStage>> = Vec::with_capacity(workload.len());
         for (d, model) in workload.models().iter().enumerate() {
-            let specs = mapping.stages(d);
-            let mut list = Vec::with_capacity(specs.len());
-            for (i, spec) in specs.iter().enumerate() {
+            let mut list = Vec::with_capacity(mapping.stage_runs(d).count());
+            let mut runs = mapping.stage_runs(d).peekable();
+            while let Some(spec) = runs.next() {
                 let base = cost.stage_seconds(model, spec.unit_range.clone(), spec.component);
                 let ws = cost.stage_working_set(model, spec.unit_range.clone());
-                let transfer = if i + 1 < specs.len() {
-                    let bytes =
-                        model.units()[spec.unit_range.end - 1].output_shape().bytes() as f64;
-                    cost.transfer_seconds(bytes, spec.component, specs[i + 1].component)
-                } else {
-                    0.0
+                let transfer = match runs.peek() {
+                    Some(next) => {
+                        let bytes =
+                            model.units()[spec.unit_range.end - 1].output_shape().bytes() as f64;
+                        cost.transfer_seconds(bytes, spec.component, next.component)
+                    }
+                    None => 0.0,
                 };
                 let kernels: usize = model.units()[spec.unit_range.clone()]
                     .iter()
@@ -162,33 +163,26 @@ impl CompiledWorkload {
     /// Inception-class models on the real board.
     fn apply_inflation(&mut self, cache_bytes: &[f64], params: ContentionParams) {
         let n = self.component_count;
-        let d_count = self.stages.len();
         let soft = |ws: f64, cache: f64| ws / (ws + cache);
-        // footprint[d][p] = soft per-DNN working set on component p.
-        let mut raw_fp = vec![vec![0.0f64; n]; d_count];
+        // footprint[d * n + p] = soft per-DNN working set on component p.
+        let mut footprint = vec![0.0f64; self.stages.len() * n];
         let mut counts = vec![0usize; n];
         for (d, dnn) in self.stages.iter().enumerate() {
             for s in dnn {
-                raw_fp[d][s.component.index()] += s.working_set;
+                footprint[d * n + s.component.index()] += s.working_set;
                 counts[s.component.index()] += 1;
             }
         }
-        let footprint: Vec<Vec<f64>> = raw_fp
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(p, &ws)| soft(ws, cache_bytes[p]))
-                    .collect()
-            })
-            .collect();
+        for (i, fp) in footprint.iter_mut().enumerate() {
+            *fp = soft(*fp, cache_bytes[i % n]);
+        }
         let pressure: Vec<f64> =
-            (0..n).map(|p| footprint.iter().map(|row| row[p]).sum()).collect();
+            (0..n).map(|p| footprint.iter().skip(p).step_by(n).sum()).collect();
         for (d, dnn) in self.stages.iter_mut().enumerate() {
             for s in dnn.iter_mut() {
                 let p = s.component.index();
                 let sens = soft(s.working_set, cache_bytes[p]);
-                let others = (pressure[p] - footprint[d][p]).max(0.0);
+                let others = (pressure[p] - footprint[d * n + p]).max(0.0);
                 let co = counts[p].saturating_sub(1) as f64;
                 let inflate =
                     (1.0 + params.theta * sens * others).powf(params.kappa) + params.alpha * co;
@@ -238,6 +232,12 @@ impl CompiledWorkload {
 /// times per search. This table hoists that work out of the hot loop:
 /// [`WorkloadCosts::compile`] is a cheap range-sum pass that produces a
 /// `CompiledWorkload` bit-identical to the direct path.
+///
+/// `compile` walks the mapping's stages with [`Mapping::stage_runs`]
+/// instead of collecting them per DNN, and the inflation pass keeps one
+/// flat DNN × component footprint table. What a query still allocates is
+/// the `CompiledWorkload` it returns plus that table and two
+/// per-component vectors (stage counts and cache pressure).
 #[derive(Debug, Clone)]
 pub struct WorkloadCosts {
     platform: Platform,
@@ -326,11 +326,11 @@ impl WorkloadCosts {
         let cost = CostModel::new(&self.platform);
         let mut stages: Vec<Vec<CompiledStage>> = Vec::with_capacity(self.unit_seconds.len());
         for d in 0..self.unit_seconds.len() {
-            let specs = mapping.stages(d);
-            let mut list = Vec::with_capacity(specs.len());
-            for (i, spec) in specs.iter().enumerate() {
+            let mut list = Vec::with_capacity(mapping.stage_runs(d).count());
+            let mut runs = mapping.stage_runs(d).peekable();
+            while let Some(spec) = runs.next() {
                 let c = spec.component.index();
-                let range = spec.unit_range.clone();
+                let range = spec.unit_range;
                 let base: f64 = self.unit_seconds[d][c][range.clone()].iter().sum();
                 let weights: u64 = self.unit_weight_bytes[d][range.clone()].iter().sum();
                 let peak_act = self.unit_peak_activation[d][range.clone()]
@@ -338,16 +338,15 @@ impl WorkloadCosts {
                     .max()
                     .copied()
                     .unwrap_or(0);
-                let transfer = if i + 1 < specs.len() {
-                    cost.transfer_seconds(
+                let transfer = match runs.peek() {
+                    Some(next) => cost.transfer_seconds(
                         self.unit_out_bytes[d][range.end - 1],
                         spec.component,
-                        specs[i + 1].component,
-                    )
-                } else {
-                    0.0
+                        next.component,
+                    ),
+                    None => 0.0,
                 };
-                let kernels: usize = self.unit_kernels[d][range.clone()].iter().sum();
+                let kernels: usize = self.unit_kernels[d][range].iter().sum();
                 list.push(CompiledStage {
                     component: spec.component,
                     base_seconds: base,

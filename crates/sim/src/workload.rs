@@ -247,27 +247,37 @@ impl Mapping {
     }
 
     /// Fuses one DNN's assignment into pipeline stages (maximal contiguous
-    /// runs on the same component).
+    /// runs on the same component), collected into a vector.
     ///
     /// # Panics
     ///
     /// Panics if `dnn` is out of range.
     pub fn stages(&self, dnn: usize) -> Vec<StageSpec> {
+        self.stage_runs(dnn).collect()
+    }
+
+    /// The pipeline stages of one DNN, in order, without allocating: the
+    /// one run scan that [`Mapping::stages`], [`Mapping::stage_count`] and
+    /// both compile paths share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dnn` is out of range.
+    pub fn stage_runs(&self, dnn: usize) -> impl Iterator<Item = StageSpec> + '_ {
         let assign = &self.per_dnn[dnn];
-        let mut out = Vec::new();
         let mut start = 0;
-        for i in 1..=assign.len() {
-            if i == assign.len() || assign[i] != assign[start] {
-                out.push(StageSpec { unit_range: start..i, component: assign[start] });
-                start = i;
-            }
-        }
-        out
+        std::iter::from_fn(move || {
+            let component = *assign.get(start)?;
+            let len = assign[start..].iter().take_while(|&&c| c == component).count();
+            let spec = StageSpec { unit_range: start..start + len, component };
+            start += len;
+            Some(spec)
+        })
     }
 
     /// Total number of pipeline stages across all DNNs.
     pub fn stage_count(&self) -> usize {
-        (0..self.per_dnn.len()).map(|d| self.stages(d).len()).sum()
+        (0..self.per_dnn.len()).map(|d| self.stage_runs(d).count()).sum()
     }
 }
 

@@ -247,3 +247,62 @@ fn fleet_executors_agree_bit_for_bit() {
         );
     }
 }
+
+/// FNV-1a over the bit patterns of every rate the contention kernel
+/// returns for a fixed, seeded set of queries. Any change to the kernel's
+/// arithmetic (operation order, a hoisted invariant that is not exactly
+/// the same value, a different fair-share round) moves this hash, so a
+/// rewrite that claims bit-identical output is checked here rather than
+/// by tolerance.
+///
+/// The queries are seeded 3–5-model mixes drawn from
+/// `ModelId::paper_pool()`, each priced by `AnalyticalEngine::evaluate_with`
+/// (cost table) and `AnalyticalEngine::evaluate` (direct compile) over
+/// random mappings plus one uniform mapping per component, and by
+/// `EventEngine::quick` on a few of them. The constant was captured with
+/// the fixed-point solver that allocated its per-component demand and
+/// weight vectors on every iteration and partitioned the unsatisfied set
+/// into fresh vectors per fair-share round; the allocation-free kernel
+/// must reproduce it exactly.
+#[test]
+fn contention_kernel_golden_bits() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rankmap::sim::WorkloadCosts;
+
+    const GOLDEN: u64 = 0xda63_b091_b467_092b;
+
+    fn fnv(hash: &mut u64, rates: &[f64]) {
+        for bits in std::iter::once(rates.len() as u64).chain(rates.iter().map(|r| r.to_bits())) {
+            for byte in bits.to_le_bytes() {
+                *hash ^= u64::from(byte);
+                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    let platform = Platform::orange_pi_5();
+    let comps = platform.component_count();
+    let pool = ModelId::paper_pool();
+    let analytical = AnalyticalEngine::new(&platform);
+    let event = EventEngine::quick(&platform);
+    let mut rng = StdRng::seed_from_u64(0x601D_B175);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for mix in 0..20 {
+        let size = rng.gen_range(3..=5);
+        let ids: Vec<ModelId> = (0..size).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+        let workload = Workload::from_ids(ids);
+        let costs = WorkloadCosts::new(&platform, &workload);
+        let mut mappings: Vec<Mapping> =
+            (0..20).map(|_| Mapping::random(&workload, comps, &mut rng)).collect();
+        mappings.extend((0..comps).map(|c| Mapping::uniform(&workload, ComponentId::new(c))));
+        for (i, mapping) in mappings.iter().enumerate() {
+            fnv(&mut hash, &analytical.evaluate_with(&costs, &workload, mapping).per_dnn);
+            fnv(&mut hash, &analytical.evaluate(&workload, mapping).per_dnn);
+            if mix % 4 == 0 && i == 0 {
+                fnv(&mut hash, &event.evaluate(&workload, mapping).per_dnn);
+            }
+        }
+    }
+    assert_eq!(hash, GOLDEN, "contention kernel output drifted: {hash:#018x}");
+}
